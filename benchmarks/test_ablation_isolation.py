@@ -26,7 +26,7 @@ def run_isolation_ablation(fn="JS", invocations=12):
 
         def driver():
             for _ in range(invocations):
-                r = yield platform.invoke(fn)
+                r = yield from platform.invoke(fn)
                 execs.append(r.exec)
 
         node.sim.run_process(driver())

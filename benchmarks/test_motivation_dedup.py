@@ -23,7 +23,7 @@ def run_motivation(instances_per_fn=3):
         platform.register_function(function_by_name(fn))
 
     def one(fn):
-        yield platform.invoke(fn)
+        yield from platform.invoke(fn)
 
     # Populate the warm pool with several instances of each function
     # (concurrent burst so they cannot share a single instance).

@@ -25,7 +25,7 @@ def startup_comparison():
         spec = agent_by_name("blackjack")
 
         def driver():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             return r
 
         r = node.sim.run_process(driver())
@@ -44,7 +44,7 @@ def browser_sharing_comparison(instances=20, cores=2):
         done = []
 
         def one():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             done.append(r.startup + r.e2e)
 
         for _ in range(instances):

@@ -31,7 +31,7 @@ def backend_comparison(fn="IR"):
         platform.register_function(function_by_name(fn))
 
         def driver():
-            r = yield platform.invoke(fn)
+            r = yield from platform.invoke(fn)
             return r
 
         r = node.sim.run_process(driver())

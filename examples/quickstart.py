@@ -56,8 +56,8 @@ def main():
 
     def attach_both():
         t0 = sim.now
-        yield registry.mmt_attach(template, inst_a)
-        yield registry.mmt_attach(template, inst_b)
+        yield from registry.mmt_attach(template, inst_a)
+        yield from registry.mmt_attach(template, inst_b)
         return sim.now - t0
 
     elapsed = sim.run_process(attach_both())

@@ -88,7 +88,7 @@ class AgentWorkflow:
         if spec.uses_browser:
             if browsers is None:
                 raise ValueError(f"{spec.name} needs a browser pool")
-            browser = yield browsers.acquire(self.agent_id)
+            browser = yield from browsers.acquire(self.agent_id)
             browser_cpu_each = (spec.browser_cpu / n) * browsers.cpu_multiplier()
 
         anon_pages = pages_for_bytes(self.anon_bytes)
@@ -112,7 +112,7 @@ class AgentWorkflow:
                                  extra_tool_cpu=browser_cpu_each,
                                  on_tool=tool_side_effects)
         try:
-            yield executor.run(graph)
+            yield from executor.run(graph)
         finally:
             if browser is not None:
                 browsers.release(browser, self.agent_id)

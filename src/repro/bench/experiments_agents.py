@@ -45,7 +45,7 @@ def run_table2_agents() -> Dict[str, Dict[str, float]]:
         node = platform.node
 
         def driver():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             return r
 
         r = node.sim.run_process(driver())
@@ -99,7 +99,7 @@ def run_fig23_startup(platforms: Sequence[str] = ("e2b", "e2b+", "ch",
         node = platform.node
 
         def driver():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             return r
 
         r = node.sim.run_process(driver())
@@ -110,7 +110,7 @@ def run_fig23_startup(platforms: Sequence[str] = ("e2b", "e2b+", "ch",
         startups: List[float] = []
 
         def one():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             startups.append(r.startup)
 
         for _ in range(concurrency):
@@ -145,7 +145,7 @@ def run_fig24_browser_sharing(instances: int = 40, cores: int = 4,
             e2es: List[float] = []
 
             def one():
-                r = yield platform.run_agent(spec)
+                r = yield from platform.run_agent(spec)
                 e2es.append(r.startup + r.e2e)
 
             for _ in range(instances):
@@ -182,7 +182,7 @@ def run_fig25_agent_memory(platforms: Sequence[str] = ("e2b", "e2b+",
             node = platform.node
 
             def one():
-                yield platform.run_agent(spec)
+                yield from platform.run_agent(spec)
 
             for _ in range(instances):
                 node.sim.spawn(one())
@@ -211,7 +211,7 @@ def run_fig26_memory_timeline(agents: Sequence[str] = ("map-reduce",
             node = platform.node
 
             def driver():
-                yield platform.run_agent(spec)
+                yield from platform.run_agent(spec)
 
             node.sim.run_process(driver())
             out[agent][name] = {

@@ -40,7 +40,7 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
     finishes = []
 
     def one():
-        yield node2.namespaces.create_netns()
+        yield from node2.namespaces.create_netns()
         finishes.append(node2.sim.now)
 
     for _ in range(15):
@@ -56,7 +56,7 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
     table = MountTable(node.sim, node.latency)
 
     def cold():
-        yield builder.build_cold(table, "JS")
+        yield from builder.build_cold(table, "JS")
         return node.sim.now
 
     cold_t = node.sim.run_process(cold())
@@ -65,8 +65,8 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
 
     def reconfig():
         start = node.sim.now
-        ov = yield pool.acquire("DH")
-        yield builder.swap_function_overlay(table, ov)
+        ov = yield from pool.acquire("DH")
+        yield from builder.swap_function_overlay(table, ov)
         return node.sim.now - start
 
     reconfig_t = node.sim.run_process(reconfig())
@@ -77,17 +77,17 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
 
     def cgroup_ops():
         t0 = node.sim.now
-        cg = yield node.cgroups.create("bench")
+        cg = yield from node.cgroups.create("bench")
         create = node.sim.now - t0
         t0 = node.sim.now
-        yield node.cgroups.migrate(1, cg)
+        yield from node.cgroups.migrate(1, cg)
         migrate = node.sim.now - t0
         t0 = node.sim.now
-        yield node.cgroups.clone_into(2, cg)
+        yield from node.cgroups.clone_into(2, cg)
         clone = node.sim.now - t0
         t0 = node.sim.now
         from repro.kernel.cgroup import CgroupLimits
-        yield node.cgroups.reconfigure(cg, CgroupLimits())
+        yield from node.cgroups.reconfigure(cg, CgroupLimits())
         reconf = node.sim.now - t0
         return create, migrate, clone, reconf
 
@@ -106,7 +106,7 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
     node = Node()
 
     def copy_restore():
-        yield node.criu.restore_full(image)
+        yield from node.criu.restore_full(image)
         return node.sim.now
 
     copy_t = node.sim.run_process(copy_restore())
@@ -118,7 +118,7 @@ def run_table1_components() -> Dict[str, Dict[str, float]]:
     def attach():
         space = AddressSpace("bench")
         t0 = node2.sim.now
-        yield registry.mmt_attach(template, space)
+        yield from registry.mmt_attach(template, space)
         return node2.sim.now - t0
 
     attach_t = node2.sim.run_process(attach())
@@ -145,10 +145,10 @@ def run_fig4_breakdown() -> Dict[str, Dict[str, float]]:
 
     def cold():
         t0 = node.sim.now
-        sb = yield runtime.create_sandbox_cold(profile.name)
+        sb = yield from runtime.create_sandbox_cold(profile.name)
         sandbox_t = node.sim.now - t0
         t0 = node.sim.now
-        yield runtime.bootstrap_function(sb, profile)
+        yield from runtime.bootstrap_function(sb, profile)
         bootstrap_t = node.sim.now - t0
         return sandbox_t, bootstrap_t
 
@@ -163,15 +163,15 @@ def run_fig4_breakdown() -> Dict[str, Dict[str, float]]:
 
     def criu():
         t0 = node.sim.now
-        sb = yield runtime.create_sandbox_cold(profile.name)
+        sb = yield from runtime.create_sandbox_cold(profile.name)
         sandbox_t = node.sim.now - t0
         t0 = node.sim.now
         yield Delay(node.latency.mem.mmap_syscall * len(image.vmas))
         yield Delay(node.latency.memory_copy(image.nbytes))
         mem_t = node.sim.now - t0
         t0 = node.sim.now
-        proc = yield node.procs.spawn(profile.name)
-        yield node.criu.restore_process_state(proc, image)
+        proc = yield from node.procs.spawn(profile.name)
+        yield from node.criu.restore_process_state(proc, image)
         other_t = node.sim.now - t0
         return sandbox_t, mem_t, other_t
 
@@ -251,7 +251,7 @@ def run_fig18b_scaling(function: str = "IR", instances: int = 50,
         node = platform.node
 
         def one():
-            yield platform.invoke(function)
+            yield from platform.invoke(function)
 
         for _ in range(instances):
             node.sim.spawn(one())
@@ -278,9 +278,9 @@ def run_fig19_noconc(platforms: Sequence[str] = ("criu", "reap+", "faasnap+",
             def driver():
                 # Prime once, then measure a steady-state start past the
                 # keep-alive window (the paper measures after warm-up).
-                yield platform.invoke(fn)
+                yield from platform.invoke(fn)
                 yield Delay(platform.keep_alive * 1.2)
-                r = yield platform.invoke(fn)
+                r = yield from platform.invoke(fn)
                 return r
 
             r = platform.node.sim.run_process(driver())
@@ -340,9 +340,9 @@ def run_fig21_ablation(functions: Sequence[str] = ("IR", "JS"),
             def driver():
                 # Prime a sandbox so the repurposing path is exercised,
                 # then measure a start past the keep-alive window.
-                yield platform.invoke(fn)
+                yield from platform.invoke(fn)
                 yield Delay(platform.keep_alive * 1.2)
-                r = yield platform.invoke(fn)
+                r = yield from platform.invoke(fn)
                 return r
 
             r = node.sim.run_process(driver())
@@ -368,14 +368,14 @@ def run_fig22_cxl_vs_rdma(seed: int = 1, concurrency: int = 16,
             execs: List[float] = []
 
             def one():
-                r = yield platform.invoke(fn)
+                r = yield from platform.invoke(fn)
                 execs.append(r.exec)
 
             def round_driver():
                 for _ in range(rounds):
                     waiters = [node.sim.spawn(one())
                                for _ in range(concurrency)]
-                    yield node.sim.all_of(waiters)
+                    yield from node.sim.all_of(waiters)
 
             node.sim.run_process(round_driver())
             out[fn][name] = {

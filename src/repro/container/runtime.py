@@ -39,20 +39,21 @@ class ContainerRuntime:
         process; mainstream runtimes (runc) use the migrate path.
         """
         node = self.node
-        netns = yield node.namespaces.create_netns()
+        netns = yield from node.namespaces.create_netns()
         table = MountTable(node.sim, node.latency)
-        mntns = yield node.namespaces.create_mntns(table)
-        light = yield node.namespaces.create_light_set()
-        base, fn_overlay = yield self.rootfs_builder.build_cold(table, function)
-        cgroup = yield node.cgroups.create(f"sb-{function}", limits)
+        mntns = yield from node.namespaces.create_mntns(table)
+        light = yield from node.namespaces.create_light_set()
+        base, fn_overlay = yield from self.rootfs_builder.build_cold(
+            table, function)
+        cgroup = yield from node.cgroups.create(f"sb-{function}", limits)
         sandbox = ContainerSandbox(netns, mntns, light, cgroup, base)
         sandbox.function_overlay = fn_overlay
         sandbox.function = function
         sandbox.created_at = node.now
         # Init ("pause") process anchors the namespaces.
-        init = yield node.procs.spawn(f"init-{sandbox.sandbox_id}",
-                                      cgroup=cgroup,
-                                      into_cgroup=clone_into_cgroup)
+        init = yield from node.procs.spawn(f"init-{sandbox.sandbox_id}",
+                                           cgroup=cgroup,
+                                           into_cgroup=clone_into_cgroup)
         sandbox.init_process = init
         sandbox.processes.append(init)
         node.memory.charge("sandbox-kernel", SANDBOX_KERNEL_OVERHEAD)
@@ -64,7 +65,7 @@ class ContainerRuntime:
         """Timed: kill processes and tear the sandbox down."""
         node = self.node
         for proc in list(sandbox.live_processes):
-            yield node.procs.kill_tree(proc)
+            yield from node.procs.kill_tree(proc)
         sandbox.processes.clear()
         sandbox.netns.terminate_connections()
         node.memory.charge("sandbox-kernel", -SANDBOX_KERNEL_OVERHEAD)
@@ -86,13 +87,13 @@ class ContainerRuntime:
         image = SnapshotImage.from_profile(profile)
         space = image.build_address_space(
             f"{profile.name}@{sandbox.sandbox_id}", on_local_delta=space_hook)
-        proc = yield node.procs.spawn(profile.name, address_space=space,
-                                      cgroup=sandbox.cgroup,
-                                      into_cgroup=True)
+        proc = yield from node.procs.spawn(profile.name, address_space=space,
+                                           cgroup=sandbox.cgroup,
+                                           into_cgroup=True)
         yield from node.cpu.compute(profile.bootstrap_time)
         for vma in space.vmas:
             space.populate_local(vma)
-        yield node.procs.clone_threads(proc, profile.n_threads - 1)
+        yield from node.procs.clone_threads(proc, profile.n_threads - 1)
         sandbox.processes.append(proc)
         sandbox.function = profile.name
         return proc

@@ -96,12 +96,12 @@ class Repurposer:
         init = sandbox.init_process
         for proc in list(sandbox.processes):
             if proc is not init and proc.alive:
-                yield node.procs.kill_tree(proc)
+                yield from node.procs.kill_tree(proc)
         sandbox.processes = [init] if init is not None else []
         sandbox.netns.terminate_connections()
         if sandbox.netns.customised:
             sandbox.netns.reset_configuration()
-        old = yield self._swap_out(sandbox)
+        old = yield from self._swap_out(sandbox)
         if old is not None:
             # Purge runs asynchronously off the critical path.
             node.sim.spawn(self.overlays.release(sandbox.function, old),
@@ -115,7 +115,7 @@ class Repurposer:
         table = sandbox.mount_table
         from repro.container.rootfs import FUNCTION_MOUNTPOINT
         if table.mount_depth(FUNCTION_MOUNTPOINT) > 0:
-            old = yield table.umount(FUNCTION_MOUNTPOINT)
+            old = yield from table.umount(FUNCTION_MOUNTPOINT)
             return old
         return None
         yield  # pragma: no cover
@@ -137,12 +137,13 @@ class Repurposer:
         node = self.node
         config = self.config
         # B2a: mount the function-specific overlay (pool hit: ~sub-ms).
-        overlay = yield self.overlays.acquire(profile.name)
-        yield self.rootfs.swap_function_overlay(sandbox.mount_table, overlay)
+        overlay = yield from self.overlays.acquire(profile.name)
+        yield from self.rootfs.swap_function_overlay(sandbox.mount_table,
+                                                     overlay)
         sandbox.function_overlay = overlay
         # B2b: reconfigure the pooled cgroup's limits.
-        yield node.cgroups.reconfigure(sandbox.cgroup,
-                                       limits or CgroupLimits())
+        yield from node.cgroups.reconfigure(sandbox.cgroup,
+                                            limits or CgroupLimits())
         # B3: CRIU repurpose-and-join: new process enters the existing
         # namespaces/cgroup and recovers non-memory state.
         space_hook = node.memory.page_delta_hook("function-anon")
@@ -150,12 +151,12 @@ class Repurposer:
             from repro.mem.address_space import AddressSpace
             space = AddressSpace(f"{profile.name}@{sandbox.sandbox_id}",
                                  on_local_delta=space_hook)
-            proc = yield node.procs.spawn(
+            proc = yield from node.procs.spawn(
                 profile.name, address_space=space, cgroup=sandbox.cgroup,
                 into_cgroup=config.clone_into_cgroup)
-            yield node.criu.restore_process_state(proc, image, ctx=ctx)
+            yield from node.criu.restore_process_state(proc, image, ctx=ctx)
             # B4: attach the memory template (metadata-only copy).
-            yield self.registry.mmt_attach(template, space, ctx=ctx)
+            yield from self.registry.mmt_attach(template, space, ctx=ctx)
         else:
             # Copy-based restore inside the reused sandbox.
             yield Delay(node.latency.mem.mmap_syscall * len(image.vmas))
@@ -165,10 +166,10 @@ class Repurposer:
                 on_local_delta=space_hook)
             for vma in space.vmas:
                 space.populate_local(vma)
-            proc = yield node.procs.spawn(
+            proc = yield from node.procs.spawn(
                 profile.name, address_space=space, cgroup=sandbox.cgroup,
                 into_cgroup=config.clone_into_cgroup)
-            yield node.criu.restore_process_state(proc, image, ctx=ctx)
+            yield from node.criu.restore_process_state(proc, image, ctx=ctx)
         sandbox.processes.append(proc)
         sandbox.function = profile.name
         sandbox.generation += 1

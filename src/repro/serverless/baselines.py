@@ -42,14 +42,14 @@ class FaasdPlatform(ServerlessPlatform):
         self.runtime = ContainerRuntime(node)
 
     def _acquire(self, profile: FunctionProfile, ctx=None) -> Generator:
-        sandbox = yield self.runtime.create_sandbox_cold(profile.name)
-        proc = yield self.runtime.bootstrap_function(sandbox, profile)
+        sandbox = yield from self.runtime.create_sandbox_cold(profile.name)
+        proc = yield from self.runtime.bootstrap_function(sandbox, profile)
         inst = Instance(profile, proc.address_space, payload=sandbox)
         return inst, "cold"
 
     def _retire(self, inst: Instance) -> Generator:
         inst.retired = True
-        yield self.runtime.destroy_sandbox(inst.payload)
+        yield from self.runtime.destroy_sandbox(inst.payload)
 
 
 class CRIUPlatform(ServerlessPlatform):
@@ -66,9 +66,9 @@ class CRIUPlatform(ServerlessPlatform):
         self.images[profile.name] = SnapshotImage.from_profile(profile)
 
     def _acquire(self, profile: FunctionProfile, ctx=None) -> Generator:
-        sandbox = yield self.runtime.create_sandbox_cold(profile.name)
+        sandbox = yield from self.runtime.create_sandbox_cold(profile.name)
         image = self.images[profile.name]
-        proc = yield self.node.criu.restore_full(
+        proc = yield from self.node.criu.restore_full(
             image, f"{profile.name}@{sandbox.sandbox_id}",
             on_local_delta=self.node.memory.page_delta_hook("function-anon"),
             ctx=ctx)
@@ -78,7 +78,7 @@ class CRIUPlatform(ServerlessPlatform):
 
     def _retire(self, inst: Instance) -> Generator:
         inst.retired = True
-        yield self.runtime.destroy_sandbox(inst.payload)
+        yield from self.runtime.destroy_sandbox(inst.payload)
 
 
 class UffdTmpfsPool(MemoryPool):
@@ -133,17 +133,17 @@ class _LazyVMPlatform(ServerlessPlatform):
         if self.netns_pool_enabled and self._free_netns > 0:
             self._free_netns -= 1
         else:
-            yield node.namespaces.create_netns()
-        cgroup = yield node.cgroups.create(f"jail-{profile.name}")
-        yield node.cgroups.migrate(0, cgroup)
-        vm = yield self.hypervisor.spawn_vm(
+            yield from node.namespaces.create_netns()
+        cgroup = yield from node.cgroups.create(f"jail-{profile.name}")
+        yield from node.cgroups.migrate(0, cgroup)
+        vm = yield from self.hypervisor.spawn_vm(
             GuestConfig(vcpus=2, mem_bytes=2 * GB,
                         storage=StorageMode.VIRTIO_BLK),
             name=f"{self.name}-{profile.name}")
-        yield self.hypervisor.restore_snapshot(vm, profile.mem_bytes,
-                                               RestoreMode.LAZY)
+        yield from self.hypervisor.restore_snapshot(vm, profile.mem_bytes,
+                                                    RestoreMode.LAZY)
         self._bind_lazy_image(vm, profile)
-        yield self._prefetch_working_set(vm, profile)
+        yield from self._prefetch_working_set(vm, profile)
         inst = Instance(profile, vm.guest_memory, payload=vm)
         return inst, "restored"
 
@@ -185,7 +185,7 @@ class _LazyVMPlatform(ServerlessPlatform):
 
     def _retire(self, inst: Instance) -> Generator:
         inst.retired = True
-        yield self.hypervisor.destroy_vm(inst.payload)
+        yield from self.hypervisor.destroy_vm(inst.payload)
         if self.netns_pool_enabled:
             self._free_netns += 1
 

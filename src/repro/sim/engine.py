@@ -5,8 +5,13 @@ Processes are Python generators that yield *commands*:
 * ``Delay(dt)`` — suspend for ``dt`` simulated seconds.
 * ``Event`` — suspend until the event is triggered; the event's payload is
   sent back into the generator.
-* another generator — run it as a sub-process and resume with its return
-  value (the classic "process call" composition).
+* ``Waiter`` — suspend until that spawned process finishes; its return
+  value is sent back (its exception is thrown in).
+
+A process calls a sub-process with ``value = yield from sub()``: Python
+runs the nested generator inline, so a call costs the engine nothing.
+Yielding anything else, a bare generator included, is a
+:class:`SimulationError`.
 
 The engine is deterministic: ties in the event queue are broken by a
 monotonically increasing sequence number, so two runs with the same seeds
@@ -18,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from collections.abc import Generator as _GeneratorABC
 from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
                     Optional, Tuple)
 
@@ -129,7 +135,7 @@ class _Task:
     """Internal driver for one process generator."""
 
     __slots__ = ("sim", "gen", "finished", "result", "error", "_done_event",
-                 "_waiting_on", "_stack", "name", "_epoch")
+                 "_waiting_on", "name", "_epoch")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -145,9 +151,6 @@ class _Task:
         # allocation overhead on the spawn hot path.
         self._done_event: Optional[Event] = None
         self._waiting_on: Optional[Event] = None
-        # Stack of suspended parent generators (sub-process calls);
-        # allocated on first use — flat processes never need it.
-        self._stack: Optional[List[Generator]] = None
         # Bumped by interrupt() to invalidate queue entries scheduled
         # before the interrupt (e.g. a pending Delay wake-up) — without
         # this, an interrupted sleeper would get a spurious second wake.
@@ -165,32 +168,24 @@ class _Task:
     def step(self, send_value: Any) -> None:
         """Advance the generator until it suspends again or finishes."""
         self._waiting_on = None
+        gen = self.gen
         while True:
             try:
                 if send_value is None:
                     # Overwhelmingly the common case (spawns and Delay
                     # wake-ups both send None): skip the isinstance
                     # chain entirely.
-                    cmd = self.gen.send(None)
+                    cmd = gen.send(None)
                 elif isinstance(send_value, Interrupt):
-                    cmd = self.gen.throw(send_value)
+                    cmd = gen.throw(send_value)
                 elif isinstance(send_value, _Raise):
-                    cmd = self.gen.throw(send_value.error)
+                    cmd = gen.throw(send_value.error)
                 else:
-                    cmd = self.gen.send(send_value)
+                    cmd = gen.send(send_value)
             except StopIteration as stop:
-                value = stop.value
-                if self._stack:
-                    self.gen = self._stack.pop()
-                    send_value = value
-                    continue
-                self._finish(result=value)
+                self._finish(result=stop.value)
                 return
-            except BaseException as exc:  # noqa: BLE001 - propagate to parent
-                if self._stack:
-                    self.gen = self._stack.pop()
-                    send_value = _Raise(exc)
-                    continue
+            except BaseException as exc:  # noqa: BLE001 - surfaced by _finish
                 self._finish(error=exc)
                 return
 
@@ -208,16 +203,13 @@ class _Task:
                 self._waiting_on = cmd.done_event
                 cmd.done_event.add_waiter(self)
                 return
-            if _is_generator(cmd):
-                stack = self._stack
-                if stack is None:
-                    stack = self._stack = []
-                stack.append(self.gen)
-                self.gen = cmd
-                send_value = None
-                continue
-            label = self.name or getattr(self.gen, "__name__", "proc")
-            raise SimulationError(f"process {label} yielded {cmd!r}")
+            label = self.name or getattr(gen, "__name__", "proc")
+            hint = ""
+            if isinstance(cmd, _GeneratorABC):
+                hint = ("; call a sub-process with `yield from "
+                        f"{getattr(cmd, '__name__', 'sub')}(...)`, "
+                        "not a bare `yield`")
+            raise SimulationError(f"process {label} yielded {cmd!r}{hint}")
 
     @property
     def done_event(self) -> Event:
@@ -245,6 +237,9 @@ class _Task:
 
 
 class _Raise:
+    """A failed :class:`Waiter`'s error, in transit to the processes
+    waiting on it; :meth:`_Task.step` throws it into each of them."""
+
     __slots__ = ("error",)
 
     def __init__(self, error: BaseException):
@@ -255,10 +250,6 @@ def _result_or_raise(waiter: Waiter) -> Any:
     if waiter.task.error is not None:
         return _Raise(waiter.task.error)
     return waiter.task.result
-
-
-def _is_generator(obj: Any) -> bool:
-    return hasattr(obj, "send") and hasattr(obj, "throw")
 
 
 class _CalendarQueue:

@@ -16,7 +16,7 @@ def make_pool(sharing=True, max_agents=10):
 
 def acquire(sim, pool, agent_id):
     def proc():
-        b = yield pool.acquire(agent_id)
+        b = yield from pool.acquire(agent_id)
         return b
 
     return sim.run_process(proc())

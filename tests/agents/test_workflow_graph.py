@@ -16,7 +16,7 @@ def run_graph(graph, cores=8):
     executor = GraphExecutor(sim, cpu, llm)
 
     def driver():
-        elapsed = yield executor.run(graph)
+        elapsed = yield from executor.run(graph)
         return elapsed
 
     elapsed = sim.run_process(driver())
@@ -65,7 +65,7 @@ class TestConstruction:
                                  ReplayLLMServer())
 
         def driver():
-            yield executor.run(graph)
+            yield from executor.run(graph)
 
         with pytest.raises(ValueError):
             sim.run_process(driver())

@@ -19,7 +19,7 @@ class TestColdCreate:
         node, runtime = make_runtime()
 
         def proc():
-            sb = yield runtime.create_sandbox_cold("JS")
+            sb = yield from runtime.create_sandbox_cold("JS")
             return sb, node.now
 
         sb, elapsed = sim_run(node, proc())
@@ -42,7 +42,7 @@ class TestColdCreate:
         finish = []
 
         def one():
-            yield runtime.create_sandbox_cold("JS")
+            yield from runtime.create_sandbox_cold("JS")
             finish.append(node.now)
 
         for _ in range(15):
@@ -56,8 +56,8 @@ class TestColdCreate:
             node, runtime = make_runtime()
 
             def proc():
-                yield runtime.create_sandbox_cold("JS",
-                                                  clone_into_cgroup=flag)
+                yield from runtime.create_sandbox_cold("JS",
+                                                       clone_into_cgroup=flag)
                 return node.now
 
             return sim_run_value(node, proc())
@@ -70,8 +70,8 @@ class TestDestroy:
         node, runtime = make_runtime()
 
         def proc():
-            sb = yield runtime.create_sandbox_cold("JS")
-            yield runtime.destroy_sandbox(sb)
+            sb = yield from runtime.create_sandbox_cold("JS")
+            yield from runtime.destroy_sandbox(sb)
             return sb
 
         sb = sim_run_value(node, proc())
@@ -86,9 +86,9 @@ class TestBootstrap:
         profile = function_by_name("JS")
 
         def proc():
-            sb = yield runtime.create_sandbox_cold("JS")
+            sb = yield from runtime.create_sandbox_cold("JS")
             start = node.now
-            p = yield runtime.bootstrap_function(sb, profile)
+            p = yield from runtime.bootstrap_function(sb, profile)
             return sb, p, node.now - start
 
         sb, p, elapsed = sim_run(node, proc())
@@ -105,8 +105,8 @@ class TestBootstrap:
         finish = []
 
         def one():
-            sb = yield runtime.create_sandbox_cold("CR")
-            yield runtime.bootstrap_function(sb, profile)
+            sb = yield from runtime.create_sandbox_cold("CR")
+            yield from runtime.bootstrap_function(sb, profile)
             finish.append(node.now)
 
         for _ in range(4):
@@ -122,9 +122,9 @@ class TestOverlayPool:
         pool = FunctionOverlayPool(node.sim, node.latency)
 
         def proc():
-            ov = yield pool.acquire("JS")
-            yield pool.release("JS", ov)
-            ov2 = yield pool.acquire("JS")
+            ov = yield from pool.acquire("JS")
+            yield from pool.release("JS", ov)
+            ov2 = yield from pool.acquire("JS")
             return ov, ov2
 
         ov, ov2 = sim_run(node, proc())
@@ -137,10 +137,10 @@ class TestOverlayPool:
         pool = FunctionOverlayPool(node.sim, node.latency)
 
         def proc():
-            ov = yield pool.acquire("JS")
+            ov = yield from pool.acquire("JS")
             ov.write_file("/tmp/leak", 100)
-            yield pool.release("JS", ov)
-            ov2 = yield pool.acquire("JS")
+            yield from pool.release("JS", ov)
+            ov2 = yield from pool.acquire("JS")
             return ov2
 
         ov2 = sim_run(node, proc())
@@ -152,9 +152,9 @@ class TestOverlayPool:
         pool = FunctionOverlayPool(node.sim, node.latency)
 
         def proc():
-            ov = yield pool.acquire("JS")
-            yield pool.release("JS", ov)
-            other = yield pool.acquire("DH")
+            ov = yield from pool.acquire("JS")
+            yield from pool.release("JS", ov)
+            other = yield from pool.acquire("DH")
             return other
 
         other = sim_run(node, proc())
@@ -169,12 +169,12 @@ class TestSwap:
         table = MountTable(node.sim, node.latency)
 
         def proc():
-            yield builder.build_cold(table, "JS")
+            yield from builder.build_cold(table, "JS")
             mounts_before = table.stats["mount"]
             start = node.now
             pool = FunctionOverlayPool(node.sim, node.latency)
-            ov = yield pool.acquire("DH")
-            yield builder.swap_function_overlay(table, ov)
+            ov = yield from pool.acquire("DH")
+            yield from builder.swap_function_overlay(table, ov)
             return table.stats["mount"] - mounts_before, node.now - start
 
         extra_mounts, elapsed = sim_run(node, proc())
@@ -193,6 +193,6 @@ def sim_run_value(node, gen):
 
 def _create(runtime, fn):
     def proc():
-        sb = yield runtime.create_sandbox_cold(fn)
+        sb = yield from runtime.create_sandbox_cold(fn)
         return sb
     return proc()

@@ -24,8 +24,8 @@ def invoke_twice(platform, fn="JS"):
     results = []
 
     def driver():
-        results.append((yield platform.invoke(fn)))
-        results.append((yield platform.invoke(fn)))
+        results.append((yield from platform.invoke(fn)))
+        results.append((yield from platform.invoke(fn)))
 
     platform.node.sim.run_process(driver())
     return results

@@ -52,7 +52,7 @@ def test_cross_host_invocations_share_read_only_pages():
         platform.register_function(function_by_name("IR"))
 
         def driver(p=platform):
-            r = yield p.invoke("IR")
+            r = yield from p.invoke("IR")
             return r
 
         r = node.sim.run_process(driver())

@@ -46,7 +46,7 @@ def test_agent_platform_determinism():
         out = []
 
         def one():
-            r = yield platform.run_agent(spec)
+            r = yield from platform.run_agent(spec)
             out.append((r.startup, r.e2e, r.active_time))
 
         for _ in range(5):

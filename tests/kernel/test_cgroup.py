@@ -15,7 +15,7 @@ def test_create_within_paper_bounds():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("sandbox-1")
+        cg = yield from mgr.create("sandbox-1")
         return cg, sim.now
 
     cg, now = sim.run_process(proc())
@@ -28,9 +28,9 @@ def test_migrate_within_paper_bounds():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("sandbox-1")
+        cg = yield from mgr.create("sandbox-1")
         start = sim.now
-        yield mgr.migrate(1234, cg)
+        yield from mgr.migrate(1234, cg)
         return cg, sim.now - start
 
     cg, elapsed = sim.run_process(proc())
@@ -43,9 +43,9 @@ def test_clone_into_is_two_orders_faster():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("sandbox-1")
+        cg = yield from mgr.create("sandbox-1")
         start = sim.now
-        yield mgr.clone_into(1234, cg)
+        yield from mgr.clone_into(1234, cg)
         return sim.now - start
 
     elapsed = sim.run_process(proc())
@@ -57,8 +57,8 @@ def test_reconfigure_updates_limits():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("pooled", CgroupLimits(cpu_quota=1.0))
-        yield mgr.reconfigure(cg, CgroupLimits(cpu_quota=2.0,
+        cg = yield from mgr.create("pooled", CgroupLimits(cpu_quota=1.0))
+        yield from mgr.reconfigure(cg, CgroupLimits(cpu_quota=2.0,
                                                memory_bytes=4 << 30))
         return cg
 
@@ -72,10 +72,10 @@ def test_stats_track_operations():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("a")
-        yield mgr.migrate(1, cg)
-        yield mgr.clone_into(2, cg)
-        yield mgr.reconfigure(cg, CgroupLimits())
+        cg = yield from mgr.create("a")
+        yield from mgr.migrate(1, cg)
+        yield from mgr.clone_into(2, cg)
+        yield from mgr.reconfigure(cg, CgroupLimits())
         return cg
 
     sim.run_process(proc())
@@ -88,8 +88,8 @@ def test_remove_proc_and_empty():
     mgr = CgroupManager(sim)
 
     def proc():
-        cg = yield mgr.create("a")
-        yield mgr.clone_into(7, cg)
+        cg = yield from mgr.create("a")
+        yield from mgr.clone_into(7, cg)
         return cg
 
     cg = sim.run_process(proc())
@@ -109,7 +109,7 @@ def test_deterministic_costs_per_seed():
         mgr = CgroupManager(sim)
 
         def proc():
-            yield mgr.create("x")
+            yield from mgr.create("x")
             return sim.now
 
         return sim.run_process(proc())

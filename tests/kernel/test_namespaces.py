@@ -10,7 +10,7 @@ def test_netns_creation_cost_at_low_concurrency():
     mgr = NamespaceManager(sim)
 
     def proc():
-        ns = yield mgr.create_netns()
+        ns = yield from mgr.create_netns()
         return ns, sim.now
 
     ns, now = sim.run_process(proc())
@@ -25,7 +25,7 @@ def test_netns_contention_inflates_cost():
     finish = []
 
     def proc():
-        yield mgr.create_netns()
+        yield from mgr.create_netns()
         finish.append(sim.now)
 
     for _ in range(15):
@@ -44,7 +44,7 @@ def test_in_flight_counter_returns_to_zero():
     mgr = NamespaceManager(sim)
 
     def proc():
-        yield mgr.create_netns()
+        yield from mgr.create_netns()
 
     for _ in range(3):
         sim.spawn(proc())
@@ -79,7 +79,7 @@ def test_light_namespaces_cheap():
     mgr = NamespaceManager(sim)
 
     def proc():
-        nss = yield mgr.create_light_set()
+        nss = yield from mgr.create_light_set()
         return nss, sim.now
 
     nss, now = sim.run_process(proc())
@@ -99,7 +99,7 @@ def test_mntns_creation():
     mgr = NamespaceManager(sim)
 
     def proc():
-        ns = yield mgr.create_mntns()
+        ns = yield from mgr.create_mntns()
         return ns
 
     ns = sim.run_process(proc())

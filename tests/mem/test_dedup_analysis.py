@@ -63,7 +63,7 @@ class TestDuplicationReport:
 
         def proc():
             for s in spaces:
-                yield registry.mmt_attach(template, s)
+                yield from registry.mmt_attach(template, s)
 
         sim.run_process(proc())
         # Each instance writes a disjoint-ish set of pages (jittered).
@@ -85,7 +85,7 @@ class TestStrandingReport:
         platform.register_function(function_by_name("DH"))
 
         def driver():
-            yield platform.invoke("DH")
+            yield from platform.invoke("DH")
 
         node.sim.run_process(driver())
         report = stranding_report(platform)
@@ -102,7 +102,7 @@ class TestStrandingReport:
         platform.register_function(function_by_name("VP"))   # 2.2 s exec
 
         def one():
-            yield platform.invoke("VP")
+            yield from platform.invoke("VP")
 
         node.sim.spawn(one())
         node.sim.run(until=3.0)   # mid-execution

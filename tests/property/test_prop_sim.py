@@ -1,14 +1,17 @@
 """Property tests: event engine, fair-share CPU, accounting, traces."""
 
+import itertools
+from typing import List, NamedTuple, Optional, Tuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mem.accounting import MemoryAccountant
 from repro.mem.trace import AccessTrace
 from repro.sim.cpu import FairShareCPU
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Delay, Interrupt, Simulator
 from repro.sim.rng import SeededRNG
 
 
@@ -27,6 +30,173 @@ def test_clock_is_monotone_and_sums_delays(delays):
     sim.run_process(proc())
     assert stamps == sorted(stamps)
     assert sim.now == pytest.approx(sum(delays))
+
+
+class _Level(NamedTuple):
+    """One level of a nested sub-process call tree."""
+
+    ident: int
+    pre: int                        # Delay before calling the children
+    children: Tuple["_Level", ...]  # called in order with ``yield from``
+    post: int                       # Delay after the children return
+    catch: bool                     # handler armed around the whole body
+
+
+class _Boom(Exception):
+    pass
+
+
+_MAX_DEPTH = 8
+
+
+def _caught_value(level: _Level) -> int:
+    return 1000 * (level.ident + 1)
+
+
+def _levels(root: _Level) -> List[_Level]:
+    out, todo = [], [root]
+    while todo:
+        level = todo.pop()
+        out.append(level)
+        todo.extend(level.children)
+    return out
+
+
+@st.composite
+def _call_trees(draw):
+    ids = itertools.count()
+    budget = [draw(st.integers(1, 24))]
+
+    def build(depth: int) -> _Level:
+        ident = next(ids)
+        budget[0] -= 1
+        children = []
+        if depth < _MAX_DEPTH:
+            for _ in range(draw(st.integers(0, 2))):
+                if budget[0] <= 0:
+                    break
+                children.append(build(depth + 1))
+        return _Level(ident, draw(st.integers(0, 3)), tuple(children),
+                      draw(st.integers(0, 3)), draw(st.booleans()))
+
+    root = build(0)
+    leaves = [lv.ident for lv in _levels(root) if not lv.children]
+    raiser = draw(st.none() | st.sampled_from(leaves))
+    span = sum(lv.pre + lv.post for lv in _levels(root))
+    # Half-integer interrupt times never tie with the integer wake-ups.
+    when = draw(st.none() | st.integers(0, span).map(lambda k: k + 0.5))
+    return root, raiser, when
+
+
+class _Escape(Exception):
+    def __init__(self, kind: str, at: float):
+        super().__init__(kind)
+        self.kind = kind
+        self.at = at
+
+
+def _expected(root: _Level, raiser: Optional[int],
+              when: Optional[float]):
+    """Walk the tree by hand: (outcome, end time, delivered, caught)."""
+    delivered: List[Tuple[int, float]] = []
+    caught: List[Tuple[int, str, float]] = []
+
+    def sleep(level: _Level, t: float, dt: int) -> float:
+        # The interrupt reaches whichever level is suspended when it
+        # fires; strict bounds make it one-shot.
+        if when is not None and t < when < t + dt:
+            delivered.append((level.ident, when))
+            raise _Escape("Interrupt", when)
+        return t + dt
+
+    def walk(level: _Level, t: float) -> Tuple[int, float]:
+        try:
+            t = sleep(level, t, level.pre)
+            total = level.ident
+            for child in level.children:
+                value, t = walk(child, t)
+                total += value
+            if level.ident == raiser:
+                raise _Escape("_Boom", t)
+            return total, sleep(level, t, level.post)
+        except _Escape as esc:
+            if not level.catch:
+                raise
+            caught.append((level.ident, esc.kind, esc.at))
+            return _caught_value(level), esc.at
+
+    try:
+        value, end = walk(root, 0.0)
+        outcome = ("ok", value)
+    except _Escape as esc:
+        outcome, end = ("raised", esc.kind), esc.at
+    return outcome, end, delivered, caught
+
+
+def _chain(depth: int) -> _Level:
+    level = _Level(depth, 1, (), 1, False)
+    for ident in range(depth - 1, -1, -1):
+        level = _Level(ident, 1, (level,), 1, ident == 0)
+    return level
+
+
+@settings(max_examples=150, deadline=None)
+@given(_call_trees())
+@example((_chain(_MAX_DEPTH), None, _MAX_DEPTH + 0.5))
+@example((_chain(_MAX_DEPTH), _MAX_DEPTH, None))
+def test_nested_calls_match_tree_oracle(case):
+    """``yield from`` call trees: values, times, raises and interrupts."""
+    root, raiser, when = case
+    sim = Simulator()
+    delivered: List[Tuple[int, float]] = []
+    caught: List[Tuple[int, str, float]] = []
+
+    def nap(level: _Level, dt: int):
+        try:
+            yield Delay(dt)
+        except Interrupt:
+            delivered.append((level.ident, sim.now))
+            raise
+
+    def run(level: _Level):
+        try:
+            yield from nap(level, level.pre)
+            total = level.ident
+            for child in level.children:
+                total += yield from run(child)
+            if level.ident == raiser:
+                raise _Boom(level.ident)
+            yield from nap(level, level.post)
+            return total
+        except (_Boom, Interrupt) as exc:
+            if not level.catch:
+                raise
+            caught.append((level.ident, type(exc).__name__, sim.now))
+            return _caught_value(level)
+
+    def top():
+        value = yield from run(root)
+        return value, sim.now
+
+    def interrupter(handle):
+        yield Delay(when)
+        handle.interrupt("stop")
+
+    handle = sim.spawn(top())
+    if when is not None:
+        sim.spawn(interrupter(handle))
+    outcome, end, want_delivered, want_caught = _expected(root, raiser, when)
+    if outcome[0] == "ok":
+        sim.run()
+        assert handle.result == (outcome[1], end)
+    else:
+        # Nobody waits on the top process, so its error leaves run().
+        with pytest.raises((_Boom, Interrupt)) as info:
+            sim.run()
+        assert type(info.value).__name__ == outcome[1]
+        assert sim.now == end
+    assert delivered == want_delivered
+    assert caught == want_caught
 
 
 @settings(max_examples=30, deadline=None)

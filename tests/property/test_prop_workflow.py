@@ -40,7 +40,7 @@ def test_every_node_executes_once(spec):
     executor = GraphExecutor(sim, FairShareCPU(sim, 16), ReplayLLMServer())
 
     def driver():
-        yield executor.run(graph)
+        yield from executor.run(graph)
 
     sim.run_process(driver())
     assert sorted(executor.executed) == sorted(graph.nodes)
@@ -54,7 +54,7 @@ def test_topological_order_respected(spec):
     executor = GraphExecutor(sim, FairShareCPU(sim, 16), ReplayLLMServer())
 
     def driver():
-        yield executor.run(graph)
+        yield from executor.run(graph)
 
     sim.run_process(driver())
     position = {nid: i for i, nid in enumerate(executor.executed)}
@@ -72,7 +72,7 @@ def test_elapsed_bounded_by_critical_path_and_serial_sum(spec):
     executor = GraphExecutor(sim, FairShareCPU(sim, 64), ReplayLLMServer())
 
     def driver():
-        elapsed = yield executor.run(graph)
+        elapsed = yield from executor.run(graph)
         return elapsed
 
     elapsed = sim.run_process(driver())

@@ -30,7 +30,7 @@ def invoke_n(platform, fn, n=1, gap=0.0):
     def driver():
         from repro.sim.engine import Delay
         for _ in range(n):
-            r = yield platform.invoke(fn)
+            r = yield from platform.invoke(fn)
             results.append(r)
             if gap:
                 yield Delay(gap)
@@ -144,9 +144,9 @@ class TestTrEnv:
 
         def driver():
             from repro.sim.engine import Delay
-            r1 = yield trenv.invoke("JS")
+            r1 = yield from trenv.invoke("JS")
             yield Delay(trenv.keep_alive * 1.2)   # let JS instance expire
-            r2 = yield trenv.invoke("CR")
+            r2 = yield from trenv.invoke("CR")
             return r1, r2
 
         r1, r2 = node.sim.run_process(driver())
@@ -162,8 +162,8 @@ class TestTrEnv:
         trenv.register_function(function_by_name("CR"))
 
         def driver():
-            yield trenv.invoke("JS")     # leaves a warm JS instance
-            r = yield trenv.invoke("CR")  # no pool, steal the JS instance
+            yield from trenv.invoke("JS")     # leaves a warm JS instance
+            r = yield from trenv.invoke("CR")  # no pool, steal the JS instance
             return r
 
         r = node.sim.run_process(driver())
@@ -229,8 +229,8 @@ class TestMemoryPressure:
         faasd.register_function(function_by_name("VP"))
 
         def driver():
-            yield faasd.invoke("IR")
-            yield faasd.invoke("VP")
+            yield from faasd.invoke("IR")
+            yield from faasd.invoke("VP")
 
         node.sim.run_process(driver())
         node.sim.run()

@@ -38,7 +38,7 @@ def test_subprocess_composition_returns_value():
         return "inner-done"
 
     def outer():
-        value = yield inner()
+        value = yield from inner()
         return value, sim.now
 
     value, now = sim.run_process(outer())
@@ -55,9 +55,9 @@ def test_deeply_nested_subprocesses():
 
     def walk(depth):
         if depth == 0:
-            result = yield leaf(0)
+            result = yield from leaf(0)
             return result
-        result = yield walk(depth - 1)
+        result = yield from walk(depth - 1)
         return result + 1
 
     assert sim.run_process(walk(20)) == 20
@@ -172,7 +172,7 @@ def test_exception_propagates_to_parent_process():
 
     def parent():
         try:
-            yield child()
+            yield from child()
         except ValueError as exc:
             return f"caught {exc}"
 
@@ -307,7 +307,7 @@ def test_all_of_gathers_results():
 
     def main():
         handles = [sim.spawn(worker(i)) for i in (3, 1, 2)]
-        results = yield sim.all_of(handles)
+        results = yield from sim.all_of(handles)
         return results, sim.now
 
     results, now = sim.run_process(main())
@@ -323,6 +323,23 @@ def test_yield_garbage_raises():
 
     with pytest.raises(SimulationError):
         sim.run_process(proc())
+
+
+def test_bare_yield_of_subprocess_raises_with_hint():
+    sim = Simulator()
+
+    def inner():
+        yield Delay(1.0)
+        return "never"
+
+    def outer():
+        value = yield inner()
+        return value
+
+    with pytest.raises(SimulationError,
+                       match=r"process outer yielded .*`yield from inner"):
+        sim.run_process(outer())
+    assert sim.now == 0.0
 
 
 def test_run_process_deadlock_detected():

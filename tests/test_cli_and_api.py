@@ -23,7 +23,7 @@ class TestPublicAPI:
         platform.register_function(repro.function_by_name("DH"))
 
         def driver():
-            r = yield platform.invoke("DH")
+            r = yield from platform.invoke("DH")
             return r
 
         r = node.sim.run_process(driver())

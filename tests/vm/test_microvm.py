@@ -14,7 +14,7 @@ def make_hv():
 
 def spawn(node, hv, storage=StorageMode.VIRTIO_BLK):
     def proc():
-        vm = yield hv.spawn_vm(GuestConfig(storage=storage))
+        vm = yield from hv.spawn_vm(GuestConfig(storage=storage))
         return vm
 
     return node.sim.run_process(proc())
@@ -34,7 +34,7 @@ class TestLifecycle:
         vm.read_files(10 * MB)
 
         def proc():
-            yield hv.destroy_vm(vm)
+            yield from hv.destroy_vm(vm)
 
         node.sim.run_process(proc())
         assert vm.state == VMState.DESTROYED
@@ -45,9 +45,9 @@ class TestLifecycle:
         node, hv = make_hv()
 
         def proc():
-            vm = yield hv.spawn_vm(GuestConfig())
+            vm = yield from hv.spawn_vm(GuestConfig())
             start = node.sim.now
-            yield hv.boot_cold(vm)
+            yield from hv.boot_cold(vm)
             return vm, node.sim.now - start
 
         vm, elapsed = node.sim.run_process(proc())
@@ -59,7 +59,7 @@ class TestLifecycle:
         vm = spawn(node, hv)
 
         def proc():
-            yield hv.destroy_vm(vm)
+            yield from hv.destroy_vm(vm)
 
         node.sim.run_process(proc())
         with pytest.raises(RuntimeError):
@@ -71,9 +71,9 @@ class TestRestoreModes:
         node, hv = make_hv()
 
         def proc():
-            vm = yield hv.spawn_vm(GuestConfig())
+            vm = yield from hv.spawn_vm(GuestConfig())
             start = node.sim.now
-            yield hv.restore_snapshot(vm, snapshot_bytes, mode)
+            yield from hv.restore_snapshot(vm, snapshot_bytes, mode)
             return node.sim.now - start
 
         return node.sim.run_process(proc())
@@ -174,7 +174,7 @@ class TestJailer:
 
         def proc():
             start = node.sim.now
-            yield hv.create_jailer_sandbox(e2b_costs=True)
+            yield from hv.create_jailer_sandbox(e2b_costs=True)
             return node.sim.now - start
 
         elapsed = node.sim.run_process(proc())
@@ -186,8 +186,8 @@ class TestJailer:
 
         def proc():
             start = node.sim.now
-            yield hv.create_jailer_sandbox(netns_pooled=True,
-                                           clone_into_cgroup=True)
+            yield from hv.create_jailer_sandbox(netns_pooled=True,
+                                                clone_into_cgroup=True)
             return node.sim.now - start
 
         elapsed = node.sim.run_process(proc())
