@@ -45,31 +45,21 @@ def test_quick_harness_report(tmp_path):
         assert stats["invocations"] > 0
         assert stats["inv_per_s"] > 0
 
-    # Cluster scale-out section: hot-path aggregate + transparent e2e.
-    # Quick mode shrinks the scenario (4 nodes x 8k invocations), so
-    # only the shape and sanity are asserted here; the full-scale
-    # aggregate is tracked in the archived BENCH_perf.json.
+    # Cluster scale-out section: one end-to-end rack run.  Quick mode
+    # shrinks the scenario (4 nodes x 8k invocations), so only the shape
+    # and sanity are asserted here.
     scale = report["cluster_scale"]
-    assert set(scale["hot_paths"]) == {
-        "scheduler", "dispatch", "metrics", "schedule_build", "arrivals"}
-    for path in scale["hot_paths"].values():
-        assert path["reference_s"] > 0 and path["optimized_s"] > 0
-        assert path["speedup"] > 0
-    assert scale["speedup"] > 1.0   # aggregate wins even at quick scale
     assert scale["scheduled_invocations"] > 0
-    e2e = scale["end_to_end"]
-    assert e2e["optimized"]["wall_s"] > 0
-    assert e2e["reference"]["wall_s"] > 0
-    assert e2e["optimized"]["invocations"] == e2e["reference"]["invocations"]
+    assert scale["wall_s"] > 0 and scale["inv_per_s"] > 0
+    assert scale["invocations"] > 0
     # Scale-out must mean scale-OUT: the rack run spreads load over every
     # node instead of collapsing onto node0 (the old warm-affinity
     # degenerate case where one host served 100% of the trace).
-    counts = e2e["optimized"]["dispatch_counts"]
+    counts = scale["dispatch_counts"]
     assert len(counts) == scale["n_nodes"]
     total = sum(counts.values())
     assert total > 0
     assert max(counts.values()) <= 0.5 * total
-    assert counts == e2e["reference"]["dispatch_counts"]
 
     # PDES scaling ladder: jobs=1 is the serial reference; every other
     # worker count must dispatch the same invocations (bit-identity is

@@ -27,7 +27,6 @@ from collections.abc import Generator as _GeneratorABC
 from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
                     Optional, Tuple)
 
-from repro import optflags
 from repro.analysis import hooks
 
 
@@ -264,8 +263,8 @@ class _CalendarQueue:
 
     Entries are ``(seq, task, value, epoch)`` and sequence numbers are
     globally monotone, so FIFO order within a bucket is exactly ``seq``
-    order — pop order is identical, entry for entry, to the reference
-    heapq scheduler's ``(time, seq)`` order (the property test in
+    order — pop order is identical, entry for entry, to a binary heap
+    ordered by ``(time, seq)`` (the property test in
     ``tests/sim/test_calendar_queue.py`` pins this, cancellations
     included).  Cancellation stays O(1): the epoch stamp is checked at
     pop, never scanned for.
@@ -304,10 +303,6 @@ class _CalendarQueue:
                 del buckets[t]
         return None
 
-    def peek_time(self) -> Optional[float]:
-        key = self.peek_key()
-        return key[0] if key is not None else None
-
     def pop(self) -> Tuple[float, int, "_Task", Any, int]:
         key = self.peek_key()
         if key is None:
@@ -326,21 +321,6 @@ class _CalendarQueue:
         seq, task, value, epoch = self._buckets[t].popleft()
         return t, seq, task, value, epoch
 
-    def pop_or_none(self) -> Optional[Tuple[float, int, "_Task", Any, int]]:
-        """Validate the head and pop it in one walk; None when empty."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket:
-                seq, task, value, epoch = bucket.popleft()
-                return t, seq, task, value, epoch
-            heapq.heappop(times)
-            if bucket is not None:
-                del buckets[t]
-        return None
-
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
 
@@ -348,19 +328,14 @@ class _CalendarQueue:
 class Simulator:
     """Deterministic event loop with a virtual clock in seconds.
 
-    Two interchangeable schedulers back the loop.  The reference path is
-    a single binary heap of ``(time, seq, task, value, epoch)`` tuples;
-    the fast path (:data:`repro.optflags.timer_wheel`, sampled at
-    construction) is a :class:`_CalendarQueue`.  Both pop in identical
-    ``(time, seq)`` order, so simulated results are bit-identical either
-    way — the flag only trades host-side constant factors.
+    Task wake-ups live on a :class:`_CalendarQueue`, which pops in exact
+    ``(time, seq)`` order; plain callbacks (:meth:`call_at`) live on a
+    small binary heap beside it and interleave by the same key.
     """
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue: List[Tuple[float, int, _Task, Any, int]] = []
-        self._wheel: Optional[_CalendarQueue] = (
-            _CalendarQueue() if optflags.timer_wheel else None)
+        self._wheel = _CalendarQueue()
         self._seq = itertools.count()
         self._callbacks: List[Tuple[float, int, Callable[[], None]]] = []
 
@@ -377,9 +352,7 @@ class Simulator:
 
         Equivalent to spawning a wrapper that first ``Delay``-sleeps
         until ``when``, minus the wrapper: one queue entry instead of
-        two and no throwaway generator.  Workload runners use this to
-        batch-spawn precomputed arrival schedules
-        (:data:`repro.optflags.batch_arrivals`).
+        two and no throwaway generator.
         """
         if when < self.now:
             raise SimulationError(
@@ -400,28 +373,17 @@ class Simulator:
         than per invocation.  Wake times are ``when`` exactly;
         :meth:`spawn_at` round-trips through ``now + (when - now)``,
         which is bit-identical whenever ``now == 0.0`` (how workload
-        runners use both).
+        runners use both).  Workload runners spawn their precomputed
+        arrival schedules this way.
         """
         now = self.now
         nxt = self._seq.__next__
-        wheel = self._wheel
+        buckets = self._wheel._buckets
+        times_heap = self._wheel._times
         waiters: List[Waiter] = []
         out = waiters.append
         task_cls = _Task
         waiter_cls = Waiter
-        if wheel is None:
-            queue = self._queue
-            push = heapq.heappush
-            for when, gen in schedule:
-                if when < now:
-                    raise SimulationError(
-                        f"spawn_at into the past: {when} < {now}")
-                task = task_cls(self, gen)
-                push(queue, (when, nxt(), task, None, 0))
-                out(waiter_cls(task))
-            return waiters
-        buckets = wheel._buckets
-        times_heap = wheel._times
         last_time: Optional[float] = None
         put = None
         for when, gen in schedule:
@@ -450,14 +412,8 @@ class Simulator:
         heapq.heappush(self._callbacks, (when, next(self._seq), fn))
 
     def _schedule(self, dt: float, task: _Task, value: Any) -> None:
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(self.now + dt,
-                       (next(self._seq), task, value, task._epoch))
-        else:
-            heapq.heappush(self._queue,
-                           (self.now + dt, next(self._seq), task, value,
-                            task._epoch))
+        self._wheel.push(self.now + dt,
+                         (next(self._seq), task, value, task._epoch))
 
     # -- running -------------------------------------------------------------
 
@@ -475,32 +431,23 @@ class Simulator:
         event, which :meth:`run_window` needs so a windowed run reports
         the same final clock as one uninterrupted ``run()``.
         """
-        wheel = self._wheel
-        queue = self._queue
         callbacks = self._callbacks
-        if wheel is not None:
-            wtimes = wheel._times
-            wbuckets = wheel._buckets
+        wtimes = self._wheel._times
+        wbuckets = self._wheel._buckets
         while True:
+            # Inlined peek_key: validate the head bucket once and keep
+            # it so the pops below are bare poplefts.
+            head = None
             bucket = None
-            if wheel is not None:
-                # Inlined peek_key: validate the head bucket once and
-                # keep it so the pop below is a bare popleft.
-                head = None
-                while wtimes:
-                    t = wtimes[0]
-                    bucket = wbuckets.get(t)
-                    if bucket:
-                        head = (t, bucket[0][0])
-                        break
-                    heapq.heappop(wtimes)
-                    if bucket is not None:
-                        del wbuckets[t]
-            elif queue:
-                entry = queue[0]
-                head = (entry[0], entry[1])
-            else:
-                head = None
+            while wtimes:
+                t = wtimes[0]
+                bucket = wbuckets.get(t)
+                if bucket:
+                    head = (t, bucket[0][0])
+                    break
+                heapq.heappop(wtimes)
+                if bucket is not None:
+                    del wbuckets[t]
             if callbacks:
                 cb = callbacks[0]
                 if head is None or (cb[0], cb[1]) < head:
@@ -517,41 +464,30 @@ class Simulator:
                     continue
             if head is None:
                 break
-            if until is not None and head[0] > until:
+            when = head[0]
+            if until is not None and when > until:
                 if pad:
                     self.now = until
                 return self.now
-            if bucket is not None:
-                # Drain the whole bucket: pushes during a step are at
-                # now + dt >= now, so this bucket stays the queue head
-                # until it empties.  Only a callback ordered before the
-                # bucket's next entry can interleave — bail to the
-                # outer loop when one appears.
-                when = head[0]
-                while bucket:
-                    if callbacks and \
-                            (callbacks[0][0], callbacks[0][1]) < \
-                            (when, bucket[0][0]):
-                        break
-                    _seq, task, value, epoch = bucket.popleft()
-                    if hooks.active is not None:
-                        hooks.active.on_sim_event(self, when)
-                    if task.finished or epoch != task._epoch:
-                        # Stale wake-up (task interrupted since it was
-                        # scheduled): drop, don't advance the clock.
-                        continue
-                    self.now = when
-                    task.step(value)
-                continue
-            when, _seq, task, value, epoch = heapq.heappop(queue)
-            if hooks.active is not None:
-                hooks.active.on_sim_event(self, when)
-            if task.finished or epoch != task._epoch:
-                # Stale wake-up (task interrupted since it was
-                # scheduled): drop it without advancing the clock.
-                continue
-            self.now = when
-            task.step(value)
+            # Drain the whole bucket: pushes during a step are at
+            # now + dt >= now, so this bucket stays the queue head until
+            # it empties.  Only a callback ordered before the bucket's
+            # next entry can interleave — bail to the outer loop when
+            # one appears.
+            while bucket:
+                if callbacks and \
+                        (callbacks[0][0], callbacks[0][1]) < \
+                        (when, bucket[0][0]):
+                    break
+                _seq, task, value, epoch = bucket.popleft()
+                if hooks.active is not None:
+                    hooks.active.on_sim_event(self, when)
+                if task.finished or epoch != task._epoch:
+                    # Stale wake-up (task interrupted since it was
+                    # scheduled): drop, don't advance the clock.
+                    continue
+                self.now = when
+                task.step(value)
         if until is not None and pad:
             self.now = max(self.now, until)
         return self.now
@@ -579,17 +515,8 @@ class Simulator:
             self._step()
         return waiter.result
 
-    def _queue_head(self) -> Optional[Tuple[float, int]]:
-        """(time, seq) of the next task wake-up, or None."""
-        if self._wheel is not None:
-            return self._wheel.peek_key()
-        if self._queue:
-            entry = self._queue[0]
-            return (entry[0], entry[1])
-        return None
-
     def _peek_time(self) -> Optional[float]:
-        head = self._queue_head()
+        head = self._wheel.peek_key()
         callbacks = self._callbacks
         if callbacks:
             cb_time = callbacks[0][0]
@@ -602,7 +529,7 @@ class Simulator:
         wheel = self._wheel
         callbacks = self._callbacks
         if callbacks:
-            head = self._queue_head()
+            head = wheel.peek_key()
             if head is None or (callbacks[0][0], callbacks[0][1]) < head:
                 when, _seq, fn = heapq.heappop(callbacks)
                 if hooks.active is not None:
@@ -610,18 +537,10 @@ class Simulator:
                 self.now = when
                 fn()
                 return
-            # head was just validated: pop it without re-walking.
-            if wheel is not None:
-                when, _seq, task, value, epoch = wheel.pop_head()
-            else:
-                when, _seq, task, value, epoch = heapq.heappop(self._queue)
-        elif wheel is not None:
-            # Both callers (run, run_process) peek immediately before
-            # stepping, and peeking validates the wheel head; popping it
-            # directly avoids a second walk.
-            when, _seq, task, value, epoch = wheel.pop_head()
-        else:
-            when, _seq, task, value, epoch = heapq.heappop(self._queue)
+        # The head was just validated — by the peek above, or by the
+        # caller (run_process peeks before every step) — so pop it
+        # without re-walking.
+        when, _seq, task, value, epoch = wheel.pop_head()
         if hooks.active is not None:
             hooks.active.on_sim_event(self, when)
         if task.finished or epoch != task._epoch:

@@ -23,7 +23,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro import optflags
 from repro.mem.layout import MB, pages_for_bytes
 from repro.mem.trace import AccessTrace
 from repro.sim.rng import SeededRNG
@@ -37,17 +36,14 @@ _FUNC_SPACE = 1 << 44
 
 #: (seed, rng path, function) -> base AccessTrace.  Traces are immutable
 #: in practice (callers only read them or derive jittered copies).
-#: Bounded LRU via :func:`repro.workloads.cache.memoized`, which also
-#: gates it on :data:`repro.optflags.trace_cache` — with the flag off,
-#: every call regenerates (the A/B contract for optimisation flags).
+#: Bounded LRU via :func:`repro.workloads.cache.memoized`.
 _BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
 
 #: (seed, rng path, function, invocation, jitter) -> jittered AccessTrace.
 #: :meth:`SeededRNG.fork` is stateless (seed + path hash), so an identical
 #: key always regenerates the identical trace — memoising it only saves
 #: host time.  Bounded LRU: cluster runs revisit the same invocation index
-#: from every node sharing a (seed, path) pair.  Gated on
-#: :data:`repro.optflags.trace_cache`.
+#: from every node sharing a (seed, path) pair.
 _INV_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
 _INV_TRACE_CACHE_MAX = 4096
 
@@ -130,9 +126,6 @@ class FunctionProfile:
         base = self.base_trace(rng)
         if jitter == 0.0:
             return base
-        if not optflags.trace_cache:
-            sub = rng.fork(f"{self.name}/inv{invocation}")
-            return base.jittered(sub, self.image_pages, jitter)
         key = (rng.seed, rng.path, self.name, invocation, jitter)
         hit = _INV_TRACE_CACHE.get(key)
         if hit is not None:

@@ -112,15 +112,15 @@ def test_optflags_guard_is_recorded_on_call_sites():
             return 2
 
         def pick():
-            if optflags.trace_cache:
+            if optflags.cow_attach:
                 return fast()
             else:
                 return slow()
     """}))
     guards = {site.callee: site.guard
               for site in graph.callees("repro.flagged.pick")}
-    assert guards["repro.flagged.fast"] == ("trace_cache", True)
-    assert guards["repro.flagged.slow"] == ("trace_cache", False)
+    assert guards["repro.flagged.fast"] == ("cow_attach", True)
+    assert guards["repro.flagged.slow"] == ("cow_attach", False)
 
 
 def test_reachability_and_prefix_roots():

@@ -5,8 +5,6 @@ test double / direct mutation and asserts the sanitizer reports it
 under the documented invariant name (docs/analysis.md).
 """
 
-import heapq
-
 import pytest
 
 from repro.analysis import hooks
@@ -128,9 +126,7 @@ class _FinishedTask:
 
 
 def test_event_monotonicity_detected():
-    from repro import optflags
-    with optflags.disabled("timer_wheel"):
-        sim = Simulator()     # reference scheduler: raw heap in sim._queue
+    sim = Simulator()
 
     def proc():
         yield Delay(1.0)
@@ -139,8 +135,8 @@ def test_event_monotonicity_detected():
         with sanitized():
             sim.run_process(proc())       # dispatches up to t=1.0
             # A buggy scheduler enqueues into the past:
-            heapq.heappush(sim._queue,
-                           (0.25, next(sim._seq), _FinishedTask(), None, 0))
+            sim._wheel.push(0.25,
+                            (next(sim._seq), _FinishedTask(), None, 0))
             sim._step()
     assert invariants(excinfo) == {INV_EVENT_MONOTONICITY}
     assert "backwards" in str(excinfo.value)

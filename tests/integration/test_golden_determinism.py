@@ -1,46 +1,34 @@
-"""Golden determinism: the perf optimizations never change results.
+"""Golden determinism: host-side choices never change results.
 
-The CoW attach path, trace cache, fused fault handling, heap-based LRU
-and the rest of the hot-path work are *host-side* optimizations: for a
-fixed seed they must produce bit-identical invocation streams and memory
-peaks, with only wall-clock and allocations allowed to differ.  This is
-the regression gate for that contract — a fig17-style W2 slice run with
-optimizations on and off (``optflags.optimizations_disabled()``),
-compared field by field.
+The oracle is the set of frozen digests in
+:mod:`tests.integration.test_golden_digests`.  Here the same scenarios
+run under the remaining host-side switches — the copying attach
+baseline (``optflags.optimizations_disabled()``), repeat runs in one
+process, each observability level, the sweep process pool — and must
+reproduce those digests (or, where no digest is frozen, each other)
+bit for bit.
 """
 
 import pytest
 
 from repro import optflags
-from repro.bench.harness import run_platform_workload
-from repro.mem.layout import GB
-from repro.workloads.synthetic import make_w2_diurnal
-
-
-def run_w2_slice(platform, seed=1, duration=150.0):
-    wl = make_w2_diurnal(seed=seed, duration=duration, mean_rate=1.6,
-                         soft_cap_bytes=5 * GB)
-    result = run_platform_workload(platform, wl, seed=seed)
-    stream = [(r.function, r.arrival, r.start_kind, r.startup, r.exec,
-               r.e2e, r.queue, r.retries, r.degraded)
-              for r in result.recorder.results]
-    return stream, result.peak_memory_bytes
+from tests.integration.test_golden_digests import (GOLDEN, blake,
+                                                   results_digest, w2_slice)
 
 
 @pytest.mark.parametrize("platform", ["t-cxl", "t-rdma", "criu"])
 def test_optimizations_are_bit_identical(platform):
-    optimized = run_w2_slice(platform)
+    """The copying attach/restore baseline reproduces the frozen results."""
     with optflags.optimizations_disabled():
-        baseline = run_w2_slice(platform)
-    assert optimized[0], "W2 slice produced no invocations"
-    assert optimized == baseline
+        digest = results_digest(f"w2-{platform}")
+    assert digest == GOLDEN[f"w2-{platform}"][0]
 
 
 def test_flags_restored_after_context():
-    assert optflags.cow_attach and optflags.trace_cache
+    assert optflags.cow_attach and optflags.parallel_sim
     with optflags.optimizations_disabled():
-        assert not optflags.cow_attach and not optflags.trace_cache
-    assert optflags.cow_attach and optflags.trace_cache
+        assert not optflags.cow_attach and not optflags.parallel_sim
+    assert optflags.cow_attach and optflags.parallel_sim
 
 
 @pytest.mark.parametrize("platform", ["t-cxl", "faasnap+"])
@@ -53,50 +41,7 @@ def test_w2_repeat_is_bit_identical(platform):
     runs must agree on the full stream *and* the memory peak (which the
     eviction/charge timeline feeds).
     """
-    assert run_w2_slice(platform) == run_w2_slice(platform)
-
-
-#: The scale-out flags added for the trace-scale hot paths; each must
-#: individually leave simulated results bit-identical.
-SCALE_FLAGS = ("timer_wheel", "dispatch_index", "stream_metrics",
-               "batch_arrivals")
-
-
-@pytest.mark.parametrize("flag", SCALE_FLAGS)
-def test_each_scale_flag_is_bit_identical(flag):
-    """Toggling any single scale-out flag never changes results.
-
-    The all-on/all-off test above can mask a pair of flags whose bugs
-    cancel; this one isolates each flag against the otherwise-optimised
-    configuration.
-    """
-    optimized = run_w2_slice("t-cxl")
-    with optflags.disabled(flag):
-        toggled = run_w2_slice("t-cxl")
-    assert optimized[0], "W2 slice produced no invocations"
-    assert optimized == toggled
-
-
-def _cluster_stream(seed, flag_ctx=None):
-    from repro.mem.pools import CXLPool
-    from repro.serverless.cluster import make_trenv_cluster
-
-    cluster = make_trenv_cluster(3, CXLPool(128 * GB), seed=seed)
-    wl = make_w2_diurnal(seed=seed, duration=150.0, mean_rate=1.6)
-    result = cluster.run_workload(wl)
-    return ([(r.function, r.arrival, r.start_kind, r.e2e)
-             for r in result.recorder.results],
-            dict(result.dispatch_counts))
-
-
-@pytest.mark.parametrize("flag", ["dispatch_index", "batch_arrivals"])
-def test_cluster_scale_flags_bit_identical(flag):
-    """Cluster-level streams agree with each scale flag off."""
-    optimized = _cluster_stream(seed=3)
-    with optflags.disabled(flag):
-        toggled = _cluster_stream(seed=3)
-    assert optimized[0]
-    assert optimized == toggled
+    assert w2_slice(platform) == w2_slice(platform)
 
 
 def test_sweep_parallel_is_bit_identical_to_serial():
@@ -129,16 +74,15 @@ def test_sweep_parallel_is_bit_identical_to_serial():
 def test_observability_is_bit_identical(level):
     """repro.obs never changes simulated results (the zero-cost contract).
 
-    The same W2 slice runs unobserved and under each observability
-    level; invocation streams and memory peaks must match bit-for-bit.
+    The W2 slice run under each observability level must reproduce the
+    frozen (unobserved-equivalent) results digest bit-for-bit.
     """
     from repro.obs.observer import observed
 
-    baseline = run_w2_slice("t-cxl")
     with observed(level) as obs:
-        traced = run_w2_slice("t-cxl")
-    assert baseline[0], "W2 slice produced no invocations"
-    assert baseline == traced
+        payload = w2_slice("t-cxl")
+    assert payload["results"], "W2 slice produced no invocations"
+    assert blake(payload) == GOLDEN["w2-t-cxl"][0]
     assert len(obs.registry) > 0
     if level == "spans":
         assert obs.tracer.n_spans > 0
@@ -148,11 +92,9 @@ def test_observability_cluster_bit_identical():
     """Same contract for the rack: dispatch spans don't perturb results."""
     from repro.obs.observer import observed
 
-    baseline = _cluster_stream(seed=3)
     with observed("spans") as obs:
-        traced = _cluster_stream(seed=3)
-    assert baseline[0]
-    assert baseline == traced
+        digest = results_digest("cluster-warm-affinity-3")
+    assert digest == GOLDEN["cluster-warm-affinity-3"][0]
     assert obs.tracer.n_spans > 0
 
 

@@ -19,8 +19,7 @@ simulated results updates them deliberately; print fresh values with
 import dataclasses
 import hashlib
 import json
-import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import pytest
 
@@ -111,14 +110,17 @@ GOLDEN: Dict[str, tuple] = {
 }
 
 
-def scenario_digests(name: str, level: Optional[str] = "spans") -> tuple:
-    """Run one scenario; digest results (and, when observed, registry
-    and trace)."""
-    if level is None:
-        return (blake(SCENARIOS[name]()),)
-    with observed(level) as obs:
-        payload = SCENARIOS[name]()
-    return (blake(payload), blake(obs.registry.to_dict()),
+def results_digest(name: str) -> str:
+    """Run one scenario in the caller's observer context; digest its
+    results."""
+    return blake(SCENARIOS[name]())
+
+
+def scenario_digests(name: str) -> tuple:
+    """Run one scenario under spans; digest results, registry, trace."""
+    with observed("spans") as obs:
+        results = results_digest(name)
+    return (results, blake(obs.registry.to_dict()),
             blake(to_chrome_trace(obs.tracer)))
 
 
@@ -129,5 +131,5 @@ def test_golden_digest(name):
 
 if __name__ == "__main__":
     for scenario in sorted(SCENARIOS):
-        print(f"    {scenario!r}: {scenario_digests(scenario)!r},")
-        sys.stdout.flush()
+        print(f"    {scenario!r}: {scenario_digests(scenario)!r},",
+              flush=True)

@@ -1,10 +1,11 @@
 """Streaming metrics: LogHistogram and the O(bins) recorder paths.
 
-The ``stream_metrics`` optflag folds every invocation into fixed-bin
+:class:`LatencyRecorder` folds every invocation into fixed-bin
 log-scale histograms; below :data:`EXACT_SAMPLE_CAP` samples the
 histogram retains the raw values and answers quantiles bit-exactly, so
-every paper experiment (small-sample) is unaffected while trace-scale
-runs get O(bins) memory and queries.
+every paper experiment (small-sample) matches
+:func:`~repro.serverless.metrics.percentile` over the retained results
+while trace-scale runs get O(bins) memory and queries.
 """
 
 import math
@@ -12,10 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from repro import optflags
 from repro.serverless.metrics import (BINS_PER_DECADE, EXACT_SAMPLE_CAP,
                                       InvocationResult, LatencyRecorder,
-                                      LogHistogram)
+                                      LogHistogram, percentile)
 from repro.sim.rng import SeededRNG
 
 
@@ -129,7 +129,6 @@ def test_streaming_only_recorder_matches_exact_aggregates():
     for r in results:
         exact.record(r)
         stream.record(r)
-    assert stream.streaming
     assert not stream.results  # nothing retained
     for fn in (None, "IR", "IFR"):
         for p in (50, 99):
@@ -185,25 +184,41 @@ def test_merge_from_streaming_requires_matching_warmup():
         dst.merge_from(src)
 
 
-def test_merge_streaming_into_exact_only_rejected():
-    src = LatencyRecorder(keep_results=False)
-    src.record(_result())
-    with optflags.disabled("stream_metrics"):
-        dst = LatencyRecorder(keep_results=True)
-    assert not dst.streaming
-    with pytest.raises(RuntimeError):
-        dst.merge_from(src)
-
-
 def test_stream_flag_does_not_change_retained_results():
-    results = [_result(arrival=float(i), e2e=0.1 + 0.01 * i)
+    """Below the cap, streaming answers equal the retained results'."""
+    results = [_result(arrival=float(i), e2e=0.1 + 0.01 * i,
+                       startup=0.001 * (i % 7), exec_=0.002 * (i % 5))
                for i in range(40)]
-    on = LatencyRecorder()
-    with optflags.disabled("stream_metrics"):
-        off = LatencyRecorder()
+    rec = LatencyRecorder()
     for r in results:
-        on.record(r)
-        off.record(r)
-    assert on.results == off.results
-    assert on.e2e_percentile(99) == pytest.approx(off.e2e_percentile(99))
-    assert on.mean_e2e() == pytest.approx(off.mean_e2e())
+        rec.record(r)
+    assert rec.results == results
+    kept = rec.measured()
+    for p in (0, 25, 50, 99, 100):
+        assert rec.e2e_percentile(p) == percentile(
+            [r.e2e for r in kept], p)
+        assert rec.startup_percentile(p) == percentile(
+            [r.startup for r in kept], p)
+        assert rec.exec_percentile(p) == percentile(
+            [r.exec for r in kept], p)
+    assert rec.mean_e2e() == pytest.approx(np.mean([r.e2e for r in kept]))
+    assert rec.count() == len(kept) == 40
+
+
+def test_warmup_change_refilters_warmup_only_records():
+    """Every earlier result inside the old warm-up is still re-filtered."""
+    rec = LatencyRecorder(warmup=5.0)
+    for t in (1.0, 2.0, 3.0):
+        rec.record(_result(arrival=t))
+    rec.warmup = 0.0
+    assert len(rec.measured()) == 3
+    assert rec.count() == 3
+    assert rec.functions() == ["IR"]
+
+
+def test_streaming_only_recorder_rejects_refilter_of_warmup_only_records():
+    rec = LatencyRecorder(warmup=5.0, keep_results=False)
+    for t in (1.0, 2.0, 3.0):
+        rec.record(_result(arrival=t))
+    with pytest.raises(RuntimeError):
+        rec.warmup = 0.0

@@ -1,13 +1,14 @@
 """Property tests: the calendar queue is pop-for-pop identical to heapq.
 
-The ``timer_wheel`` optflag swaps the engine's global binary heap for a
-:class:`~repro.sim.engine._CalendarQueue`.  The contract is exact: for
+The engine schedules wake-ups on a :class:`~repro.sim.engine._CalendarQueue`
+(one FIFO bucket per distinct virtual time).  The contract is exact: for
 any push sequence (sequence numbers globally monotone, as the engine
 guarantees), pop order is identical entry for entry to a reference
 ``heapq`` ordered by ``(time, seq)`` — cancellations included, since
-both paths cancel by epoch-stamping rather than queue surgery.  These
-tests drive randomized seeded workloads through both and diff the
-streams.
+cancellation is epoch-stamping rather than queue surgery.  These tests
+drive randomized seeded workloads through both and diff the streams;
+the full-engine test checks wake traces against digests frozen while
+the engine still kept a binary-heap scheduler beside the wheel.
 """
 
 import heapq
@@ -15,9 +16,9 @@ from itertools import count
 
 import pytest
 
-from repro import optflags
 from repro.sim.engine import Delay, Simulator, _CalendarQueue
 from repro.sim.rng import SeededRNG
+from tests.integration.test_golden_digests import blake
 
 
 def _random_schedule(seed, n_events, time_values=16):
@@ -100,31 +101,34 @@ def _randomized_workload(sim, trace, seed, n_procs=40):
     sim.spawn(saboteur(), name="saboteur")
 
 
-@pytest.mark.parametrize("seed", [0, 5, 9])
+#: seed -> blake2b of (wake trace, final clock).  Recorded with both the
+#: calendar queue and the engine's former reference binary heap, which
+#: produced these exact digests.
+TRACE_DIGESTS = {
+    0: "d03000f810e51b603e2248d1d5724996",
+    5: "d826c66a11d260358703d0b0c49c8086",
+    9: "c4b2265241192511a0ccd79891c4f55f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRACE_DIGESTS))
 def test_engine_trace_identical_with_and_without_wheel(seed):
     """Full-engine property test: wake order with cancellations.
 
     The same randomized workload (sleepers with same-tick collisions
     plus a saboteur interrupting a third of them mid-nap) must produce
-    an identical (now, pid, event) trace whether the simulator was
-    built on the calendar queue or the reference heap.
+    the (now, pid, event) trace and final clock the heap and the wheel
+    both produced when the digests were frozen.
     """
-    trace_wheel = []
+    trace = []
     sim = Simulator()
-    _randomized_workload(sim, trace_wheel, seed)
-    end_wheel = sim.run()
+    _randomized_workload(sim, trace, seed)
+    end = sim.run()
 
-    trace_heap = []
-    with optflags.disabled("timer_wheel"):
-        sim = Simulator()
-        _randomized_workload(sim, trace_heap, seed)
-        end_heap = sim.run()
-
-    assert trace_wheel, "workload produced no events"
-    assert any(e[2] == "interrupted" for e in trace_wheel), \
+    assert trace, "workload produced no events"
+    assert any(e[2] == "interrupted" for e in trace), \
         "no cancellations exercised"
-    assert trace_wheel == trace_heap
-    assert end_wheel == end_heap
+    assert blake([trace, end]) == TRACE_DIGESTS[seed]
 
 
 def test_spawn_at_many_matches_individual_spawn_at():
