@@ -43,14 +43,23 @@ def _stream(recorder):
     return [dataclasses.astuple(r) for r in recorder.results]
 
 
-def w2_slice(platform: str, seed: int = 1, duration: float = 150.0) -> Dict:
-    """The fig17-style W2 slice on one node."""
+def run_w2(platform: str, seed: int = 1, duration: float = 150.0):
+    """Run the fig17-style W2 slice on one node; the full RunResult."""
     wl = make_w2_diurnal(seed=seed, duration=duration, mean_rate=1.6,
                          soft_cap_bytes=5 * GB)
-    result = run_platform_workload(platform, wl, seed=seed)
+    return run_platform_workload(platform, wl, seed=seed)
+
+
+def slice_payload(result) -> Dict:
+    """The digested part of a W2 slice's RunResult."""
     return {"results": _stream(result.recorder),
             "failures": result.recorder.failures,
             "peak_memory_bytes": result.peak_memory_bytes}
+
+
+def w2_slice(platform: str, seed: int = 1, duration: float = 150.0) -> Dict:
+    """The fig17-style W2 slice on one node, reduced for digesting."""
+    return slice_payload(run_w2(platform, seed, duration))
 
 
 def rack(n_nodes: int, seed: int, workload, policy=None) -> Dict:

@@ -9,7 +9,9 @@ generated fresh from the same forked RNG.
 """
 
 import numpy as np
+import pytest
 
+from repro import optflags
 from repro.mem.layout import pages_for_bytes
 from repro.mem.trace import AccessTrace
 from repro.sim.rng import SeededRNG
@@ -40,6 +42,20 @@ def fresh_base_trace(f, rng):
         loads_per_read_page=f.loads_per_read_page,
         writable_start=min(f.image_pages,
                            pages_for_bytes(f.runtime_shared_bytes)))
+
+
+def test_base_trace_cache_respects_the_flag():
+    """The memo is unconditional: the ``trace_cache`` switch is retired
+    and no remaining optflag turns it off."""
+    with pytest.raises(ValueError):
+        with optflags.disabled("trace_cache"):
+            pass
+    f = function_by_name("DH")
+    with optflags.optimizations_disabled():
+        first = f.base_trace(SeededRNG(7))
+        assert len(fmod._BASE_TRACE_CACHE) == 1
+    assert f.base_trace(SeededRNG(7)) is first
+    assert len(fmod._BASE_TRACE_CACHE) == 1
 
 
 def test_base_trace_identical_with_and_without_cache():
