@@ -34,7 +34,9 @@ class AccessTrace:
 
     @property
     def touched_pages(self) -> int:
-        return len(np.union1d(self.read_pages, self.write_pages))
+        return int(np.count_nonzero(_page_mask(
+            _page_span(self.read_pages, self.write_pages),
+            self.read_pages, self.write_pages)))
 
     @property
     def distinct_reads(self) -> int:
@@ -47,13 +49,13 @@ class AccessTrace:
     @property
     def read_only_ratio(self) -> float:
         """Fraction of touched pages that are never written (Figure 10)."""
-        touched = self.touched_pages
+        size = _page_span(self.read_pages, self.write_pages)
+        reads = _page_mask(size, self.read_pages)
+        writes = _page_mask(size, self.write_pages)
+        touched = np.count_nonzero(reads | writes)
         if touched == 0:
             return 0.0
-        both = len(np.intersect1d(self.write_pages, self.read_pages,
-                                  assume_unique=True))
-        only_read = len(self.read_pages) - both
-        return only_read / touched
+        return int(np.count_nonzero(reads & ~writes)) / int(touched)
 
     @staticmethod
     def generate(rng: SeededRNG, total_pages: int, touch_fraction: float,
@@ -91,30 +93,40 @@ class AccessTrace:
         pages (which is why REAP's recorded working set achieves ~90%+
         coverage); ``fraction`` of the reads are swapped for fresh pages
         to model input-dependent variation.
+
+        The set algebra runs as boolean page masks over the image (grown
+        to cover the largest input page), so the result comes out sorted
+        and distinct without a hash or sort pass over the pages.  The
+        draws are fixed: the kept indices, the fresh pages, then the
+        write top-up.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction out of range: {fraction}")
-        n_swap = int(round(len(self.read_pages) * fraction))
+        n_reads = len(self.read_pages)
+        n_swap = int(round(n_reads * fraction))
         if n_swap == 0:
             return AccessTrace(self.read_pages.copy(),
-                               self.write_pages.copy(), self.read_loads)
-        keep_idx = rng.sample_pages(len(self.read_pages),
-                                    len(self.read_pages) - n_swap)
-        kept = self.read_pages[np.sort(keep_idx)]
+                               self.write_pages.copy(), self.read_loads,
+                               self.writable_start)
+        keep_idx = rng.sample_pages(n_reads, n_reads - n_swap)
         fresh = rng.sample_pages(total_pages, n_swap)
-        reads = np.unique(np.concatenate([kept, fresh]))
+        size = max(total_pages,
+                   _page_span(self.read_pages, self.write_pages))
+        read_mask = _page_mask(size, self.read_pages[keep_idx], fresh)
         # Writes: keep those still read, top up from the new reads to
         # preserve the write fraction (never below writable_start).
-        writes = np.intersect1d(self.write_pages, reads, assume_unique=False)
-        deficit = len(self.write_pages) - len(writes)
+        write_mask = _page_mask(size, self.write_pages)
+        write_mask &= read_mask
+        deficit = len(self.write_pages) - int(np.count_nonzero(write_mask))
         if deficit > 0:
-            candidates = np.setdiff1d(reads, writes, assume_unique=True)
-            candidates = candidates[candidates >= self.writable_start]
+            spare = read_mask & ~write_mask
+            spare[:self.writable_start] = False
+            candidates = np.flatnonzero(spare)
             if len(candidates):
-                extra = candidates[rng.sample_pages(
-                    len(candidates), min(deficit, len(candidates)))]
-                writes = np.unique(np.concatenate([writes, extra]))
-        return AccessTrace(read_pages=reads, write_pages=np.sort(writes),
+                write_mask[candidates[rng.sample_pages(
+                    len(candidates), min(deficit, len(candidates)))]] = True
+        return AccessTrace(read_pages=np.flatnonzero(read_mask),
+                           write_pages=np.flatnonzero(write_mask),
                            read_loads=self.read_loads,
                            writable_start=self.writable_start)
 
@@ -133,3 +145,22 @@ class AccessTrace:
         return AccessTrace(read_pages=reads, write_pages=writes,
                            read_loads=int(self.read_loads * fraction),
                            writable_start=self.writable_start)
+
+
+def _page_span(*page_sets: np.ndarray) -> int:
+    """One past the largest page in ``page_sets`` (0 when all are empty)."""
+    return max((int(pages.max()) + 1 for pages in page_sets if len(pages)),
+               default=0)
+
+
+def _page_mask(size: int, *page_sets: np.ndarray) -> np.ndarray:
+    """A ``bool`` mask of ``size`` pages with every page in ``page_sets`` set.
+
+    Counting or listing (``np.flatnonzero``) the mask replaces numpy's
+    set routines, whose ``np.unique`` goes through a hash table on numpy 2
+    and costs about a millisecond per 10k-page call.
+    """
+    mask = np.zeros(size, dtype=bool)
+    for pages in page_sets:
+        mask[pages] = True
+    return mask

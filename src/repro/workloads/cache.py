@@ -3,9 +3,10 @@
 Workload generation is deterministic (seeded RNG, pure inputs), so a
 (parameters -> events) cache only saves host time — simulated results
 cannot change; the base access-trace memo in
-:mod:`repro.workloads.functions` routes through here too.  Caches are
-bounded LRU so sweep runners revisiting a few configurations hit while
-long parameter scans cannot grow without limit.
+:mod:`repro.workloads.functions` routes through here too (per-invocation
+traces are rebuilt on every call: their keys never repeat within a run).
+Caches are bounded LRU so sweep runners revisiting a few configurations
+hit while long parameter scans cannot grow without limit.
 """
 
 from __future__ import annotations

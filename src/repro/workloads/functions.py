@@ -36,16 +36,11 @@ _FUNC_SPACE = 1 << 44
 
 #: (seed, rng path, function) -> base AccessTrace.  Traces are immutable
 #: in practice (callers only read them or derive jittered copies).
-#: Bounded LRU via :func:`repro.workloads.cache.memoized`.
+#: Bounded LRU via :func:`repro.workloads.cache.memoized`.  Per-invocation
+#: traces are not memoised: each platform's trace RNG has its own
+#: (seed, path), so their keys never repeat, and jittering a base trace
+#: costs well under a millisecond.
 _BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
-
-#: (seed, rng path, function, invocation, jitter) -> jittered AccessTrace.
-#: :meth:`SeededRNG.fork` is stateless (seed + path hash), so an identical
-#: key always regenerates the identical trace — memoising it only saves
-#: host time.  Bounded LRU: cluster runs revisit the same invocation index
-#: from every node sharing a (seed, path) pair.
-_INV_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
-_INV_TRACE_CACHE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -119,24 +114,16 @@ class FunctionProfile:
 
         Deterministic per (rng seed, function, invocation index) — the
         reproducibility discipline of §9.6's trace-replay methodology.
-        ``jitter`` defaults to the profile's :attr:`trace_jitter`.
+        ``jitter`` defaults to the profile's :attr:`trace_jitter`.  Each
+        call jitters the memoised base trace afresh from a forked RNG.
         """
         if jitter is None:
             jitter = self.trace_jitter
         base = self.base_trace(rng)
         if jitter == 0.0:
             return base
-        key = (rng.seed, rng.path, self.name, invocation, jitter)
-        hit = _INV_TRACE_CACHE.get(key)
-        if hit is not None:
-            _INV_TRACE_CACHE.move_to_end(key)
-            return hit
         sub = rng.fork(f"{self.name}/inv{invocation}")
-        trace = base.jittered(sub, self.image_pages, jitter)
-        _INV_TRACE_CACHE[key] = trace
-        if len(_INV_TRACE_CACHE) > _INV_TRACE_CACHE_MAX:
-            _INV_TRACE_CACHE.popitem(last=False)
-        return trace
+        return base.jittered(sub, self.image_pages, jitter)
 
     def content_ids(self):
         """Per-page content ids of the snapshot image.
